@@ -42,6 +42,30 @@ std::string escape(std::string_view s) {
 
 std::string quoted(std::string_view s) { return "\"" + escape(s) + "\""; }
 
+std::string one_line(std::string_view doc) {
+  std::string out;
+  out.reserve(doc.size());
+  bool in_string = false;
+  bool escaped = false;
+  for (const char c : doc) {
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (c == '\\') {
+        escaped = true;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+      continue;
+    }
+    out += c;
+  }
+  return out;
+}
+
 const Value* Value::find(std::string_view key) const {
   if (type != Type::kObject) return nullptr;
   for (const auto& [name, value] : object) {

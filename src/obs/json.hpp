@@ -23,6 +23,10 @@ std::string escape(std::string_view s);
 /// `"s"` with escaping — the common writer helper.
 std::string quoted(std::string_view s);
 
+/// `doc` with every whitespace character outside string literals removed:
+/// a pretty-printed document as a single line, for line-framed protocols.
+std::string one_line(std::string_view doc);
+
 /// Parsed JSON value. Object member order is preserved so exporters can be
 /// tested for stable field ordering.
 struct Value {

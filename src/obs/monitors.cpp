@@ -65,9 +65,9 @@ void InvariantMonitor::check_locality(u64 phase, i64 relocated, i64 minimum) {
 }
 
 void InvariantMonitor::check_conservation(u64 phase, bool ok, NodeId node,
-                                          const std::string& detail) {
+                                          std::string_view detail) {
   checks_run_ += 1;
-  if (!ok) add("conservation", phase, node, detail);
+  if (!ok) add("conservation", phase, node, std::string(detail));
 }
 
 void InvariantMonitor::clear() {

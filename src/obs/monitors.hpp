@@ -29,6 +29,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.hpp"
@@ -55,9 +56,10 @@ class InvariantMonitor {
   void check_locality(u64 phase, i64 relocated, i64 minimum);
 
   /// Generic conservation finding (the engine does the data collection —
-  /// it owns the queues); `ok` == true is a no-op.
+  /// it owns the queues); `ok` == true is a no-op (and allocates
+  /// nothing: `detail` is only copied into a violation).
   void check_conservation(u64 phase, bool ok, NodeId node,
-                          const std::string& detail);
+                          std::string_view detail);
 
   bool ok() const { return violations_.empty(); }
   const std::vector<Violation>& violations() const { return violations_; }

@@ -205,147 +205,124 @@ SimTime RipsEngine::system_phase(SimTime t) {
 
   // Collect: leftover RTE tasks are moved back to RTS and rescheduled
   // together with the newly generated ones (Section 2).
-  for (NodeId phys : live_) {
-    auto& node = nodes_[static_cast<size_t>(phys)];
-    node.rts.insert(node.rts.end(), node.rte.begin(), node.rte.end());
-    node.rte.clear();
-  }
   u64 total = 0;
-  for (NodeId phys : live_) total += nodes_[static_cast<size_t>(phys)].rts.size();
-
+  for (NodeId phys : live_) {
+    const NodeRt& node = nodes_[static_cast<size_t>(phys)];
+    total += node.rts.size() + node.rte.size();
+  }
   if (total == 0 && released_segments_ < trace_->num_segments()) {
     // Segment barrier: this same system phase schedules the next segment.
     release_segment_roots(released_segments_);
-    total = 0;
     for (NodeId phys : live_) {
       total += nodes_[static_cast<size_t>(phys)].rts.size();
     }
   }
 
+  // One pass per rank splits its RTS, then its leftover RTE, by origin
+  // into the flat rank-ordered array before_tasks_: the rank's own tasks
+  // fill its span from the front, foreign tasks from the back (so read
+  // backwards they are in collected order). That array is the replay's
+  // task storage and, unchanged, the monitors' begin-of-phase snapshot.
+  before_offsets_.resize(static_cast<size_t>(n) + 1);
+  before_tasks_.resize(total);
+  runs_.clear();
+  ranks_.assign(static_cast<size_t>(n), RankRuns{});
+  size_t offset = 0;
+  for (i32 r = 0; r < n; ++r) {
+    const NodeId phys = live_[static_cast<size_t>(r)];
+    NodeRt& node = nodes_[static_cast<size_t>(phys)];
+    before_offsets_[static_cast<size_t>(r)] = offset;
+    const size_t size = node.rts.size() + node.rte.size();
+    size_t front = offset;
+    size_t back = offset + size;
+    RankRuns& rank = ranks_[static_cast<size_t>(r)];
+    const auto collect = [&](TaskId task) {
+      const NodeId origin = origin_[static_cast<size_t>(task)];
+      if (origin == phys) {
+        before_tasks_[front++] = task;
+        return;
+      }
+      before_tasks_[--back] = task;
+      if (rank.foreign.tail != kNoRun &&
+          runs_[static_cast<size_t>(rank.foreign.tail)].origin == origin) {
+        runs_[static_cast<size_t>(rank.foreign.tail)].begin = back;
+        rank.foreign.size += 1;
+      } else {
+        push_run(rank.foreign,
+                 {back, back + 1, kNoRun, kNoRun, origin, 0, true});
+      }
+    };
+    for (TaskId task : node.rts) collect(task);
+    for (TaskId task : node.rte) collect(task);
+    node.rts.clear();
+    node.rte.clear();
+    if (front > offset) {
+      push_run(rank.local, {offset, front, kNoRun, kNoRun, phys, 0, false});
+    }
+    offset += size;
+  }
+  before_offsets_[static_cast<size_t>(n)] = offset;
+
   // Counts (the paper's choice) or work totals (weighted mode: what
   // perfect grain estimation would let the scheduler balance). Loads are
   // indexed by logical rank; rank r is physical node live_[r]. Weighted
   // loads are a flat gather over the per-task weight array.
-  load_.assign(static_cast<size_t>(n), 0);
+  load_.resize(static_cast<size_t>(n));
   for (i32 r = 0; r < n; ++r) {
-    const auto& rts = nodes_[static_cast<size_t>(live_[r])].rts;
+    const size_t begin = before_offsets_[static_cast<size_t>(r)];
+    const size_t size = before_offsets_[static_cast<size_t>(r) + 1] - begin;
     load_[static_cast<size_t>(r)] =
         config_.weighted
-            ? simd::gather_sum_i64(task_weight_.data(), rts.data(), rts.size())
-            : static_cast<i64>(rts.size());
+            ? simd::gather_sum_i64(task_weight_.data(),
+                                   before_tasks_.data() + begin, size)
+            : static_cast<i64>(size);
   }
   // The plan is borrowed from the scheduler's pooled result; it stays valid
   // until the next schedule() call, which only happens next phase.
   const sched::ScheduleResult& plan = active_scheduler().schedule(load_);
-
-  // Monitor-only cost: the invariant checks need to know where every task
-  // started the phase, which the replay below destroys. The snapshot is a
-  // flat CSR so detached monitors cost nothing and attached ones cost no
-  // steady-state allocation.
   const u64 phase_idx = static_cast<u64>(phases_.size());
   const bool monitoring = obs_.monitor != nullptr && !config_.weighted;
-  if (monitoring) {
-    before_offsets_.resize(static_cast<size_t>(n) + 1);
-    before_tasks_.clear();
-    before_offsets_[0] = 0;
-    for (i32 r = 0; r < n; ++r) {
-      const auto& rts = nodes_[static_cast<size_t>(live_[r])].rts;
-      before_tasks_.insert(before_tasks_.end(), rts.begin(), rts.end());
-      before_offsets_[static_cast<size_t>(r) + 1] = before_tasks_.size();
-    }
-  }
 
-  // Replay the transfer plan on the actual task ids. Nodes forward tasks
-  // that are already non-local before giving up their own (locality).
-  if (pools_.size() < static_cast<size_t>(n)) pools_.resize(static_cast<size_t>(n));
-  for (i32 r = 0; r < n; ++r) {
-    pools_[static_cast<size_t>(r)].local.clear();
-    pools_[static_cast<size_t>(r)].foreign.clear();
-  }
-  for (i32 r = 0; r < n; ++r) {
-    const NodeId phys = live_[static_cast<size_t>(r)];
-    for (TaskId task : nodes_[static_cast<size_t>(phys)].rts) {
-      if (origin_[static_cast<size_t>(task)] == phys) {
-        pools_[static_cast<size_t>(r)].local.push_back(task);
-      } else {
-        pools_[static_cast<size_t>(r)].foreign.push_back(task);
-      }
-    }
-    nodes_[static_cast<size_t>(phys)].rts.clear();
-  }
+  // Replay the transfer plan on runs of task ids. Nodes forward tasks that
+  // are already non-local before giving up their own (locality), and
+  // every transfer takes from the tail of those lists. Moving a whole run
+  // reverses its order, which a run records instead of copying tasks.
   migration_.assign(static_cast<size_t>(n), 0);
   u64 moved = 0;
   // Per-transfer payloads, kept only while tracing so the send/recv
   // instants below can carry matching correlation ids.
   traced_.clear();
   for (const sched::Transfer& tr : plan.transfers) {
-    Pool& src = pools_[static_cast<size_t>(tr.from)];
-    Pool& dst = pools_[static_cast<size_t>(tr.to)];
+    RankRuns& src = ranks_[static_cast<size_t>(tr.from)];
+    RankRuns& dst = ranks_[static_cast<size_t>(tr.to)];
     const NodeId to_phys = live_[static_cast<size_t>(tr.to)];
+    // Count mode: move exactly tr.count tasks, foreign tail first, then
+    // local tail. Weighted mode: tr.count is an amount of WORK; move tasks
+    // one at a time until the planned amount is matched as closely as task
+    // granularity allows (stop early rather than overshoot by more than
+    // the final task's better half).
+    i64 sent = 0;  // tasks moved for this transfer
     if (!config_.weighted) {
-      RIPS_CHECK_MSG(
-          static_cast<i64>(src.local.size() + src.foreign.size()) >= tr.count,
-          "scheduler transfer exceeds node holdings");
-    }
-    // Count mode: move exactly tr.count tasks. Weighted mode: tr.count is
-    // an amount of WORK; move tasks greedily until the planned amount is
-    // matched as closely as task granularity allows (stop early rather
-    // than overshoot by more than the final task's better half).
-    i64 sent = 0;     // tasks moved for this transfer
-    i64 sent_work = 0;
-    if (!config_.weighted) {
-      // Bulk commit: the whole transfer is decided up front (foreign tail
-      // first, then local tail — identical order to popping one task at a
-      // time), so each source vector is truncated once instead of
-      // re-checking emptiness and mode per task.
-      const auto move_tail = [&](std::vector<TaskId>& from, i64 take) {
-        const size_t cut = from.size() - static_cast<size_t>(take);
-        for (size_t i = from.size(); i-- > cut;) {
-          const TaskId task = from[i];
-          if (origin_[static_cast<size_t>(task)] == to_phys) {
-            dst.local.push_back(task);
-          } else {
-            dst.foreign.push_back(task);
-          }
-          if (job_accounting_) {
-            job_migrated_[static_cast<size_t>(
-                (*job_of_)[static_cast<size_t>(task)])] += 1;
-          }
-        }
-        from.resize(cut);
-        sent += take;
-      };
-      const i64 from_foreign =
-          std::min(tr.count, static_cast<i64>(src.foreign.size()));
-      move_tail(src.foreign, from_foreign);
-      move_tail(src.local,
-                std::min(tr.count - from_foreign,
-                         static_cast<i64>(src.local.size())));
+      RIPS_CHECK_MSG(src.local.size + src.foreign.size >= tr.count,
+                     "scheduler transfer exceeds node holdings");
+      const i64 from_foreign = std::min(tr.count, src.foreign.size);
+      move_tail(src.foreign, from_foreign, dst, to_phys);
+      move_tail(src.local, tr.count - from_foreign, dst, to_phys);
+      sent = tr.count;
     } else {
-      while (!src.local.empty() || !src.foreign.empty()) {
-        const bool from_foreign = !src.foreign.empty();
+      i64 sent_work = 0;
+      while (src.local.size + src.foreign.size > 0) {
+        RunList& from = src.foreign.size > 0 ? src.foreign : src.local;
+        const Run& tail = runs_[static_cast<size_t>(from.tail)];
         const TaskId task =
-            from_foreign ? src.foreign.back() : src.local.back();
+            before_tasks_[tail.reversed ? tail.begin : tail.end - 1];
         const i64 w = task_weight_[static_cast<size_t>(task)];
         const i64 undershoot = tr.count - sent_work;
         if (undershoot <= 0) break;
         if (sent > 0 && sent_work + w - tr.count > undershoot) break;
         sent_work += w;
-        if (from_foreign) {
-          src.foreign.pop_back();
-        } else {
-          src.local.pop_back();
-        }
-        if (origin_[static_cast<size_t>(task)] == to_phys) {
-          dst.local.push_back(task);
-        } else {
-          dst.foreign.push_back(task);
-        }
+        move_tail(from, 1, dst, to_phys);
         ++sent;
-        if (job_accounting_) {
-          job_migrated_[static_cast<size_t>(
-              (*job_of_)[static_cast<size_t>(task)])] += 1;
-        }
       }
     }
     moved += static_cast<u64>(sent);
@@ -359,12 +336,30 @@ SimTime RipsEngine::system_phase(SimTime t) {
   }
   c_tasks_migrated_->add(moved);
 
-  // Scheduled tasks enter the RTE queues (own tasks first, then received).
+  // Scheduled tasks enter the RTE queues (own tasks first, then received),
+  // and every task is charged once per transfer it made.
   for (i32 r = 0; r < n; ++r) {
     auto& rte = nodes_[static_cast<size_t>(live_[r])].rte;
-    const Pool& pool = pools_[static_cast<size_t>(r)];
-    rte.append(pool.local.data(), pool.local.size());
-    rte.append(pool.foreign.data(), pool.foreign.size());
+    const RankRuns& rank = ranks_[static_cast<size_t>(r)];
+    for (const RunList* list : {&rank.local, &rank.foreign}) {
+      for (i32 i = list->head; i != kNoRun;) {
+        const Run& run = runs_[static_cast<size_t>(i)];
+        const TaskId* first = before_tasks_.data() + run.begin;
+        const size_t len = run.end - run.begin;
+        if (run.reversed) {
+          rte.append_reversed(first, len);
+        } else {
+          rte.append(first, len);
+        }
+        if (job_accounting_ && run.hops > 0) {
+          for (size_t k = 0; k < len; ++k) {
+            job_migrated_[static_cast<size_t>((*job_of_)[first[k]])] +=
+                static_cast<u64>(run.hops);
+          }
+        }
+        i = run.next;
+      }
+    }
   }
 
   // Cost: lock-step scheduling rounds (cheap scalar-only information steps
@@ -479,6 +474,62 @@ SimTime RipsEngine::system_phase(SimTime t) {
   }
   if (phase_probe_ != nullptr) phase_probe_(probe_ctx_, phase_idx);
   return t + duration;
+}
+
+void RipsEngine::push_run(RunList& list, const Run& run) {
+  runs_.push_back(run);
+  link_run(list, static_cast<i32>(runs_.size()) - 1);
+}
+
+void RipsEngine::link_run(RunList& list, i32 idx) {
+  Run& run = runs_[static_cast<size_t>(idx)];
+  run.prev = list.tail;
+  run.next = kNoRun;
+  if (list.tail != kNoRun) {
+    runs_[static_cast<size_t>(list.tail)].next = idx;
+  } else {
+    list.head = idx;
+  }
+  list.tail = idx;
+  list.size += static_cast<i64>(run.end - run.begin);
+}
+
+void RipsEngine::move_tail(RunList& from, i64 take, RankRuns& dst,
+                           NodeId to_phys) {
+  while (take > 0) {
+    i32 idx = from.tail;
+    Run& run = runs_[static_cast<size_t>(idx)];
+    const auto len = static_cast<i64>(run.end - run.begin);
+    if (len > take) {
+      // Split: the run's last `take` tasks in list order leave as a new
+      // run, the rest stays in place.
+      Run part = run;
+      if (run.reversed) {
+        part.end = run.begin + static_cast<size_t>(take);
+        run.begin = part.end;
+      } else {
+        part.begin = run.end - static_cast<size_t>(take);
+        run.end = part.begin;
+      }
+      from.size -= take;
+      take = 0;
+      runs_.push_back(part);
+      idx = static_cast<i32>(runs_.size()) - 1;
+    } else {
+      from.tail = run.prev;
+      if (from.tail != kNoRun) {
+        runs_[static_cast<size_t>(from.tail)].next = kNoRun;
+      } else {
+        from.head = kNoRun;
+      }
+      from.size -= len;
+      take -= len;
+    }
+    Run& moving = runs_[static_cast<size_t>(idx)];
+    moving.reversed = !moving.reversed;
+    moving.hops += 1;
+    link_run(moving.origin == to_phys ? dst.local : dst.foreign, idx);
+  }
 }
 
 void RipsEngine::check_phase_invariants(u64 phase,

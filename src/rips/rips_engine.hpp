@@ -147,11 +147,6 @@ class RipsEngine {
     num_jobs_ = job_of == nullptr ? 0 : num_jobs;
   }
 
-  /// Test introspection: whether any system phase of the last run built
-  /// the monitor's begin-of-phase snapshot (only invariant monitors need
-  /// it; monitor-less runs must never pay for it).
-  bool built_monitor_snapshots() const { return !before_offsets_.empty(); }
-
   /// Test hook: invoked at the end of every system phase with the phase
   /// index. The allocation regression test uses it to bracket a
   /// steady-state window; a plain function pointer so attaching and
@@ -300,15 +295,44 @@ class RipsEngine {
   // --- steady-state scratch arenas ---------------------------------------
   // Every per-phase working vector lives here and is overwritten in place:
   // after the first few phases a system phase performs zero heap
-  // allocations (with monitors detached and phase snapshots off), which is
-  // what lets the engine scale to thousands of simulated nodes. Enforced
-  // by the allocation-counter regression test (tests/test_alloc.cpp).
+  // allocations (with phase snapshots off, monitors attached or not),
+  // which is what lets the engine scale to thousands of simulated nodes.
+  // Enforced by the allocation-counter regression test
+  // (tests/test_alloc.cpp).
 
-  /// Replay pools: per-rank task ids split by origin (locality order).
-  struct Pool {
-    std::vector<TaskId> local;
-    std::vector<TaskId> foreign;
+  /// Replay run: a slice of before_tasks_ whose tasks share one origin,
+  /// read forward or backwards, that made `hops` transfers this phase.
+  /// A rank's queue of local (or foreign) tasks is a linked list of runs;
+  /// a transfer relinks whole runs and splits at most one per list, so the
+  /// replay costs O(runs) per transfer instead of O(tasks) per hop.
+  static constexpr i32 kNoRun = -1;
+  struct Run {
+    size_t begin;
+    size_t end;
+    i32 prev;
+    i32 next;
+    NodeId origin;
+    i32 hops;
+    bool reversed;
   };
+  struct RunList {
+    i32 head = kNoRun;
+    i32 tail = kNoRun;
+    i64 size = 0;  // tasks in the list
+  };
+  struct RankRuns {
+    RunList local;    // tasks whose origin is this rank's node
+    RunList foreign;  // everything else
+  };
+  /// Appends run `run` (a new entry of runs_) to `list`.
+  void push_run(RunList& list, const Run& run);
+  /// Appends the unlinked entry runs_[idx] to `list`.
+  void link_run(RunList& list, i32 idx);
+  /// Moves the last `take` tasks of `from` to `dst` in the order popping
+  /// them one by one would: each run (or split-off tail of one) flips
+  /// direction, gains a hop and joins dst's local list if its origin is
+  /// `to_phys`, its foreign list otherwise.
+  void move_tail(RunList& from, i64 take, RankRuns& dst, NodeId to_phys);
   /// Per-transfer payloads, kept only while tracing so the send/recv
   /// instants can carry matching correlation ids.
   struct TracedTransfer {
@@ -317,14 +341,17 @@ class RipsEngine {
     i64 sent;
   };
   std::vector<i64> load_;            // per-rank loads (system phase)
-  std::vector<Pool> pools_;          // replay pools; inner vectors reused
+  std::vector<Run> runs_;            // replay runs of this phase
+  std::vector<RankRuns> ranks_;      // per-rank run lists
   std::vector<SimTime> migration_;   // per-rank migration CPU time
   std::vector<TracedTransfer> traced_;
   std::vector<SimTime> drain_;       // user phase: per-node drain times
   std::vector<SimTime> crash_eff_;   // user phase: effective crash times
   std::vector<char> doomed_;         // user phase: admitted crashes
-  // Monitor begin-of-phase snapshot as flat CSR (offsets + one backing
-  // array), built per phase ONLY while a monitor is attached.
+  // Every task collected at phase begin, as flat CSR by rank (offsets +
+  // one backing array; within a rank, own tasks first, then foreign ones
+  // backwards). The replay runs point into it, and the monitors read it as
+  // the begin-of-phase snapshot.
   std::vector<size_t> before_offsets_;
   std::vector<TaskId> before_tasks_;
   // Conservation-scan scratch: start rank per task id, kUnseenRank when
@@ -367,8 +394,7 @@ class RipsEngine {
   // replaced. obs_ carries the optional external sinks.
 
   /// Theorem-2 bookkeeping for one system phase (monitor-only cost).
-  /// Reads the begin-of-phase CSR snapshot (before_offsets_/before_tasks_)
-  /// that system_phase builds only while a monitor is attached.
+  /// Reads the begin-of-phase CSR snapshot (before_offsets_/before_tasks_).
   void check_phase_invariants(u64 phase, const std::vector<i64>& load,
                               const sched::ScheduleResult& plan, i64 total);
 

@@ -165,32 +165,42 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
   // z_b = sum_{k<b} (w - q). Transfers are executed in synchronous rounds
   // (a relay node can only forward what it already holds), which is what
   // bounds the step count by n2.
+  //
+  // Each round only evaluates the wavefront: round 1 every boundary with
+  // pending flow, round k+1 the boundaries whose sender received tasks in
+  // round k. That skips no transfer. A boundary still pending after a
+  // round it was evaluated in has a sender whose surplus is exhausted, and
+  // surplus only comes back through inflow, so until that sender receives
+  // again every evaluation of its boundaries would move nothing. A row
+  // costs O(n2 + transfers) instead of O(n2 * rounds).
   i32 step5_rounds = 0;
+  std::vector<i64>& flow = scratch_.flow;          // flow[b], b>=1
+  std::vector<i64>& hold = scratch_.hold;          // per-column holdings
+  std::vector<i64>& reserved = scratch_.reserved;  // per-round sends
+  std::vector<i32>& front = scratch_.front;
+  std::vector<i32>& next_front = scratch_.next_front;
+  std::vector<Transfer>& batch = scratch_.batch;
+  reserved.assign(static_cast<size_t>(n2), 0);
   for (i32 i = 0; i < n1; ++i) {
-    std::vector<i64>& flow = scratch_.flow;  // flow[b], b>=1
     flow.assign(static_cast<size_t>(n2), 0);
+    front.clear();
     i64 prefix = 0;
     for (i32 b = 1; b < n2; ++b) {
       prefix += w(i, b - 1) - q(i, b - 1);
       flow[static_cast<size_t>(b)] = prefix;
+      if (prefix != 0) front.push_back(b);
     }
-    std::vector<i64>& hold = scratch_.hold;
     hold.assign(&w(i, 0), &w(i, 0) + n2);
+    size_t unsettled = front.size();
 
     i32 round = 0;
-    bool pending = true;
-    while (pending) {
-      pending = false;
+    do {
       ++round;
       RIPS_CHECK_MSG(round <= n2 + 1, "step 5 failed to settle in n2 rounds");
       // Decide all sends against start-of-round holdings.
-      std::vector<i64>& reserved = scratch_.reserved;
-      reserved.assign(static_cast<size_t>(n2), 0);
-      std::vector<Transfer>& batch = scratch_.batch;
       batch.clear();
-      for (i32 b = 1; b < n2; ++b) {
+      for (const i32 b : front) {
         i64& f = flow[static_cast<size_t>(b)];
-        if (f == 0) continue;
         const i32 sender = f > 0 ? b - 1 : b;
         const i32 receiver = f > 0 ? b : b - 1;
         const i64 want = std::abs(f);
@@ -208,16 +218,32 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
           batch.push_back({mesh_.at(i, sender), mesh_.at(i, receiver), amount,
                            step4_rounds + round});
           f -= f > 0 ? amount : -amount;
+          if (f == 0) --unsettled;
         }
-        if (f != 0) pending = true;
       }
+      // Apply the round and queue the boundary each receiver sends over,
+      // if any. Flows never change sign, so a column receiving over one
+      // boundary can only send over its other one (and a column receiving
+      // from both sides sends nothing). Receivers come out of the batch in
+      // ascending column order, hence so does the next wavefront.
+      next_front.clear();
       for (const Transfer& tr : batch) {
-        hold[static_cast<size_t>(mesh_.col_of(tr.from))] -= tr.count;
-        hold[static_cast<size_t>(mesh_.col_of(tr.to))] += tr.count;
+        const i32 from = mesh_.col_of(tr.from);
+        const i32 to = mesh_.col_of(tr.to);
+        hold[static_cast<size_t>(from)] -= tr.count;
+        hold[static_cast<size_t>(to)] += tr.count;
+        reserved[static_cast<size_t>(from)] = 0;
         out.transfers.push_back(tr);
+        if (to >= 1 && flow[static_cast<size_t>(to)] < 0) {
+          next_front.push_back(to);
+        } else if (to + 1 < n2 && flow[static_cast<size_t>(to + 1)] > 0) {
+          next_front.push_back(to + 1);
+        }
       }
-    }
-    // `round` counts one trailing no-op round; real rounds are round - 1.
+      front.swap(next_front);
+    } while (unsettled > 0);
+    // `round` counts the final round that settled the row; real rounds
+    // are reported as round - 1.
     step5_rounds = std::max(step5_rounds, round - 1);
     std::copy(hold.begin(), hold.end(), &w(i, 0));
   }

@@ -52,6 +52,8 @@ class Mwa final : public ParallelScheduler {
     std::vector<i64> flow;      // step-5 per-boundary pending flow
     std::vector<i64> hold;      // step-5 per-column holdings
     std::vector<i64> reserved;  // step-5 per-round reserved sends
+    std::vector<i32> front;       // step-5 boundaries to evaluate
+    std::vector<i32> next_front;  // step-5 wavefront of the next round
     std::vector<Transfer> batch;
   };
   Scratch scratch_;

@@ -65,6 +65,10 @@ JobServer::~JobServer() { shutdown(); }
 void JobServer::start() {
   std::lock_guard<std::mutex> lock(mu_);
   RIPS_CHECK_MSG(!started_, "JobServer::start called twice");
+  start_locked();
+}
+
+void JobServer::start_locked() {
   started_ = true;
   source_ = std::make_unique<QueueSource>(this);
   engine_thread_ = std::thread([this] { engine_main(); });
@@ -178,7 +182,6 @@ JobServer::SubmitOutcome JobServer::submit(const SubmitParams& params) {
   apps::TaskTrace trace = build_job_trace(params, options_.max_job_tasks);
 
   std::lock_guard<std::mutex> lock(mu_);
-  RIPS_CHECK_MSG(started_, "submit before JobServer::start");
   c_submitted_->add();
   if (static_cast<u64>(trace.size()) > options_.max_job_tasks) {
     c_rej_too_large_->add();
@@ -244,7 +247,15 @@ void JobServer::drain_locked() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
-    if (!started_) finished_ = true;  // nothing ever ran
+    if (!started_) {
+      // Jobs admitted before start() still run; with none, nothing ever
+      // ran and the server is finished as it stands.
+      if (pending_.empty()) {
+        finished_ = true;
+      } else {
+        start_locked();
+      }
+    }
   }
   cv_.notify_all();
   if (engine_thread_.joinable()) engine_thread_.join();
@@ -354,7 +365,7 @@ std::string JobServer::stats_reply() const {
       ",\"sim_now_ns\":" + std::to_string(sim_now_) +
       ",\"draining\":" + (draining_ ? "true" : "false") +
       ",\"finished\":" + (finished_ ? "true" : "false") +
-      ",\"server\":" + server_registry_.to_json();
+      ",\"server\":" + obs::json::one_line(server_registry_.to_json());
   return ok_reply("stats", extra);
 }
 

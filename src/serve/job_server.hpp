@@ -57,8 +57,10 @@ class JobServer {
   explicit JobServer(ServeOptions options);
   ~JobServer();  ///< shuts down (drains) if still running
 
-  /// Launches the engine thread. Must be called exactly once, before the
-  /// first submit.
+  /// Launches the engine thread. Must be called at most once. Jobs
+  /// submitted before it are admitted as usual and wait in the pending
+  /// queue until the engine starts (drain()/shutdown() start it if it
+  /// never ran, so no admitted job is lost).
   void start();
 
   struct SubmitOutcome {
@@ -139,6 +141,7 @@ class JobServer {
                                      std::vector<TaskId>* new_roots,
                                      SimTime* advance_ns);
   void drain_locked();  ///< caller holds lifecycle_mu_
+  void start_locked();  ///< caller holds mu_; launches the engine thread
   std::string status_reply(i64 job_id) const;
   std::string stats_reply() const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -105,16 +106,61 @@ FaultInjector::FaultInjector(const FaultPlan& plan, i32 num_nodes)
               return a.time_ns != b.time_ns ? a.time_ns < b.time_ns
                                             : a.node < b.node;
             });
+
+  // Slowdown step table: per node, sweep the window edges in time order
+  // keeping the multiset of open factors; every distinct edge time starts
+  // a step whose factor is the largest open one (1.0 when none is open).
+  std::vector<const SlowdownFault*> by_node;
+  by_node.reserve(plan_.slowdowns.size());
+  for (const SlowdownFault& s : plan_.slowdowns) by_node.push_back(&s);
+  std::stable_sort(by_node.begin(), by_node.end(),
+                   [](const SlowdownFault* a, const SlowdownFault* b) {
+                     return a->node < b->node;
+                   });
+  step_offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  struct Edge {
+    SimTime t;
+    double factor;
+    bool open;
+  };
+  std::vector<Edge> edges;
+  std::multiset<double> active;
+  size_t i = 0;
+  for (NodeId node = 0; node < num_nodes; ++node) {
+    step_offsets_[static_cast<size_t>(node)] = step_t_.size();
+    edges.clear();
+    for (; i < by_node.size() && by_node[i]->node == node; ++i) {
+      edges.push_back({by_node[i]->start_ns, by_node[i]->factor, true});
+      edges.push_back({by_node[i]->end_ns, by_node[i]->factor, false});
+    }
+    std::sort(edges.begin(), edges.end(),
+              [](const Edge& a, const Edge& b) { return a.t < b.t; });
+    for (size_t e = 0; e < edges.size();) {
+      const SimTime t = edges[e].t;
+      for (; e < edges.size() && edges[e].t == t; ++e) {
+        if (edges[e].open) {
+          active.insert(edges[e].factor);
+        } else {
+          active.erase(active.find(edges[e].factor));
+        }
+      }
+      step_t_.push_back(t);
+      step_factor_.push_back(active.empty() ? 1.0 : *active.rbegin());
+    }
+  }
+  step_offsets_[static_cast<size_t>(num_nodes)] = step_t_.size();
 }
 
 double FaultInjector::slowdown_factor(NodeId node, SimTime t) const {
-  double factor = 1.0;
-  for (const SlowdownFault& s : plan_.slowdowns) {
-    if (s.node == node && t >= s.start_ns && t < s.end_ns) {
-      factor = std::max(factor, s.factor);
-    }
-  }
-  return factor;
+  if (node < 0 || node >= num_nodes_) return 1.0;
+  const size_t lo = step_offsets_[static_cast<size_t>(node)];
+  const size_t hi = step_offsets_[static_cast<size_t>(node) + 1];
+  // The last step starting at or before t, if any.
+  const size_t k = static_cast<size_t>(
+      std::upper_bound(step_t_.begin() + static_cast<i64>(lo),
+                       step_t_.begin() + static_cast<i64>(hi), t) -
+      step_t_.begin());
+  return k == lo ? 1.0 : step_factor_[k - 1];
 }
 
 SimTime FaultInjector::scaled_work(NodeId node, SimTime t,

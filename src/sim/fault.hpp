@@ -89,7 +89,9 @@ class FaultInjector {
   /// Crash events, sorted by time (ties broken by node id).
   const std::vector<CrashFault>& crashes() const { return plan_.crashes; }
 
-  /// Work-time multiplier for a task starting at `t` on `node` (>= 1).
+  /// Work-time multiplier for a task starting at `t` on `node` (>= 1):
+  /// the largest factor among the node's windows [start, end) holding `t`.
+  /// A binary search over the node's piecewise-constant factor table.
   double slowdown_factor(NodeId node, SimTime t) const;
 
   /// `base_ns` stretched by the slowdown window active at `t`, if any.
@@ -106,6 +108,12 @@ class FaultInjector {
  private:
   FaultPlan plan_;
   i32 num_nodes_ = 0;
+  // Per-node slowdown factor as a step function, CSR by node: over
+  // [step_t_[k], step_t_[k+1]) the factor is step_factor_[k]; before a
+  // node's first step and from its last one on it is 1.0.
+  std::vector<size_t> step_offsets_;
+  std::vector<SimTime> step_t_;
+  std::vector<double> step_factor_;
 };
 
 }  // namespace rips::sim

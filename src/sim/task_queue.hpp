@@ -10,6 +10,7 @@
 // O(1) and memory proportional to the live size.
 #pragma once
 
+#include <iterator>
 #include <vector>
 
 #include "util/types.hpp"
@@ -30,6 +31,12 @@ class TaskQueue {
   /// RTE refill after a system phase).
   void append(const TaskId* tasks, size_t n) {
     buf_.insert(buf_.end(), tasks, tasks + n);
+  }
+
+  /// Appends `n` tasks in reverse order (tasks[n-1] first).
+  void append_reversed(const TaskId* tasks, size_t n) {
+    buf_.insert(buf_.end(), std::reverse_iterator<const TaskId*>(tasks + n),
+                std::reverse_iterator<const TaskId*>(tasks));
   }
 
   TaskId pop_front() {

@@ -173,27 +173,40 @@ TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
   }
 }
 
-// Monitor `before` snapshots are the one per-phase structure the engine
-// still builds on demand — and only when a monitor is attached.
-TEST(AllocFree, MonitorSnapshotsBuiltOnlyWhenMonitorAttached) {
-  const apps::TaskTrace trace = alloc_trace(2000);
-  topo::Mesh mesh(4, 4);
-  {
-    sched::Mwa mwa(mesh);
-    RipsEngine engine(mwa, test_cost(), RipsConfig{});
-    engine.run(trace);
-    EXPECT_FALSE(engine.built_monitor_snapshots());
-  }
-  {
-    sched::Mwa mwa(mesh);
-    RipsEngine engine(mwa, test_cost(), RipsConfig{});
-    obs::InvariantMonitor monitor;
-    obs::Obs o;
-    o.monitor = &monitor;
-    engine.set_obs(o);
-    engine.run(trace);
-    EXPECT_TRUE(engine.built_monitor_snapshots());
-    EXPECT_TRUE(monitor.ok()) << monitor.report();
+// The invariant monitors read the replay's own collected-task array as
+// their begin-of-phase snapshot, so attaching them must not bring back
+// per-phase allocation either: same steady-state contract, monitor on.
+TEST(AllocFree, MonitoredSteadyStatePhasesAllocateNothing) {
+  const apps::TaskTrace trace = alloc_trace(20000);
+  topo::Mesh mesh(16, 16);
+  sched::Mwa mwa(mesh);
+  RipsEngine engine(mwa, test_cost(), RipsConfig{});
+  engine.set_phase_snapshots(false);
+  obs::InvariantMonitor monitor;
+  obs::Obs o;
+  o.monitor = &monitor;
+  engine.set_obs(o);
+
+  PhaseMarks probe;
+  probe.marks.reserve(1 << 16);
+  engine.set_phase_probe(&PhaseMarks::record, &probe);
+
+  const sim::RunMetrics warm = engine.run(trace);
+  ASSERT_EQ(warm.num_tasks, trace.size());
+  ASSERT_TRUE(monitor.ok()) << monitor.report();
+  const size_t phases = probe.marks.size();
+  ASSERT_GE(phases, 4u) << "trace too small to expose steady-state windows";
+
+  probe.marks.clear();
+  const sim::RunMetrics metrics = engine.run(trace);
+  ASSERT_EQ(metrics.num_tasks, trace.size());
+  ASSERT_EQ(probe.marks.size(), phases) << "repeat run must be deterministic";
+  EXPECT_TRUE(monitor.ok()) << monitor.report();
+
+  for (size_t i = 1; i + 1 < phases; ++i) {
+    EXPECT_EQ(probe.marks[i] - probe.marks[i - 1], 0u)
+        << "heap allocation in monitored steady-state window ending at phase "
+        << i;
   }
 }
 

@@ -18,6 +18,7 @@
 #include "sim/timeline.hpp"
 #include "topo/live_view.hpp"
 #include "topo/topology.hpp"
+#include "util/rng.hpp"
 
 namespace rips {
 namespace {
@@ -115,6 +116,45 @@ TEST(FaultInjector, SlowdownWindowsScaleWork) {
   EXPECT_EQ(inj.scaled_work(2, 2000, 100), 100);  // window is half-open
   EXPECT_EQ(inj.scaled_work(2, 500, 100), 100);
   EXPECT_EQ(inj.scaled_work(1, 1500, 100), 100);  // other nodes unaffected
+}
+
+// The step-table lookup must equal the definition — the largest factor of
+// the node's windows [start, end) holding t, else 1.0 — on plans with
+// heavy overlap, shared edges and nested windows, probed at every window
+// edge and its neighbours.
+TEST(FaultInjector, SlowdownTableMatchesLinearScan) {
+  Rng rng(0x5104D0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const i32 nodes = 1 + static_cast<i32>(rng.next_below(6));
+    sim::FaultPlan plan;
+    const int windows = static_cast<int>(rng.next_below(40));
+    for (int w = 0; w < windows; ++w) {
+      sim::SlowdownFault s;
+      s.node = static_cast<NodeId>(rng.next_below(static_cast<u64>(nodes)));
+      // A coarse time grid makes shared and touching edges common.
+      s.start_ns = static_cast<SimTime>(rng.next_below(30)) * 10;
+      s.end_ns =
+          s.start_ns + 10 * (1 + static_cast<SimTime>(rng.next_below(8)));
+      s.factor = 1.0 + static_cast<double>(rng.next_below(9)) * 0.5;
+      plan.slowdowns.push_back(s);
+    }
+    const sim::FaultInjector inj(plan, nodes);
+    const auto linear = [&](NodeId node, SimTime t) {
+      double factor = 1.0;
+      for (const sim::SlowdownFault& s : plan.slowdowns) {
+        if (s.node == node && t >= s.start_ns && t < s.end_ns) {
+          factor = std::max(factor, s.factor);
+        }
+      }
+      return factor;
+    };
+    for (NodeId node = 0; node < nodes; ++node) {
+      for (SimTime t = -5; t <= 420; ++t) {
+        ASSERT_EQ(inj.slowdown_factor(node, t), linear(node, t))
+            << "trial " << trial << " node " << node << " t " << t;
+      }
+    }
+  }
 }
 
 // --- faulty collectives --------------------------------------------------

@@ -2,7 +2,9 @@
 // Lemma 2 enforced over thousands of randomized load distributions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "flow/mincost_flow.hpp"
 #include "sched/mwa.hpp"
@@ -206,6 +208,139 @@ TEST(Mwa, DeterministicAcrossCalls) {
     EXPECT_EQ(a.transfers[i].from, b.transfers[i].from);
     EXPECT_EQ(a.transfers[i].to, b.transfers[i].to);
     EXPECT_EQ(a.transfers[i].count, b.transfers[i].count);
+  }
+}
+
+// --- Step-5 wavefront equivalence ----------------------------------------
+// Reference: MWA step 5 as a full scan of every boundary in every round,
+// O(n2 * rounds) per row. Steps 1-4 are taken from the scheduler's own
+// result (its vertical transfers come first in the plan), so the
+// comparison isolates the wavefront evaluation of step 5.
+ScheduleResult reference_schedule(const topo::Mesh& mesh,
+                                  const std::vector<i64>& load,
+                                  const ScheduleResult& actual) {
+  const i32 n1 = mesh.rows();
+  const i32 n2 = mesh.cols();
+  ScheduleResult ref;
+  ref.new_load = load;
+  ref.info_steps = 2 * (n1 + n2);
+  i32 step4_rounds = 0;
+  for (const Transfer& tr : actual.transfers) {
+    if (mesh.row_of(tr.from) == mesh.row_of(tr.to)) break;
+    ref.new_load[static_cast<size_t>(tr.from)] -= tr.count;
+    ref.new_load[static_cast<size_t>(tr.to)] += tr.count;
+    ref.transfers.push_back(tr);
+    step4_rounds = std::max(step4_rounds, tr.step);
+  }
+  const std::vector<i64> quota =
+      quota_for(sum_of(load), static_cast<i32>(load.size()));
+  auto q = [&](i32 i, i32 j) { return quota[static_cast<size_t>(i * n2 + j)]; };
+
+  i32 step5_rounds = 0;
+  for (i32 i = 0; i < n1; ++i) {
+    std::vector<i64> flow(static_cast<size_t>(n2), 0);
+    i64 prefix = 0;
+    for (i32 b = 1; b < n2; ++b) {
+      prefix += ref.new_load[static_cast<size_t>(i * n2 + b - 1)] - q(i, b - 1);
+      flow[static_cast<size_t>(b)] = prefix;
+    }
+    std::vector<i64> hold(ref.new_load.begin() + i * n2,
+                          ref.new_load.begin() + (i + 1) * n2);
+    i32 round = 0;
+    bool pending = true;
+    while (pending) {
+      pending = false;
+      ++round;
+      EXPECT_LE(round, n2 + 1);
+      if (round > n2 + 1) break;
+      std::vector<i64> reserved(static_cast<size_t>(n2), 0);
+      std::vector<Transfer> batch;
+      for (i32 b = 1; b < n2; ++b) {
+        i64& f = flow[static_cast<size_t>(b)];
+        if (f == 0) continue;
+        const i32 sender = f > 0 ? b - 1 : b;
+        const i32 receiver = f > 0 ? b : b - 1;
+        const i64 avail = std::max<i64>(
+            0, hold[static_cast<size_t>(sender)] -
+                   reserved[static_cast<size_t>(sender)] - q(i, sender));
+        const i64 amount = std::min(std::abs(f), avail);
+        if (amount > 0) {
+          reserved[static_cast<size_t>(sender)] += amount;
+          batch.push_back({mesh.at(i, sender), mesh.at(i, receiver), amount,
+                           step4_rounds + round});
+          f -= f > 0 ? amount : -amount;
+        }
+        if (f != 0) pending = true;
+      }
+      for (const Transfer& tr : batch) {
+        hold[static_cast<size_t>(mesh.col_of(tr.from))] -= tr.count;
+        hold[static_cast<size_t>(mesh.col_of(tr.to))] += tr.count;
+        ref.transfers.push_back(tr);
+      }
+    }
+    step5_rounds = std::max(step5_rounds, round - 1);
+    std::copy(hold.begin(), hold.end(), ref.new_load.begin() + i * n2);
+  }
+  ref.transfer_steps = step4_rounds + step5_rounds;
+  for (const Transfer& tr : ref.transfers) ref.task_hops += tr.count;
+  ref.comm_steps = ref.info_steps + ref.transfer_steps;
+  return ref;
+}
+
+void expect_same_schedule(const ScheduleResult& got, const ScheduleResult& ref,
+                          const std::string& what) {
+  EXPECT_EQ(got.new_load, ref.new_load) << what;
+  EXPECT_EQ(got.comm_steps, ref.comm_steps) << what;
+  EXPECT_EQ(got.info_steps, ref.info_steps) << what;
+  EXPECT_EQ(got.transfer_steps, ref.transfer_steps) << what;
+  EXPECT_EQ(got.task_hops, ref.task_hops) << what;
+  ASSERT_EQ(got.transfers.size(), ref.transfers.size()) << what;
+  for (size_t i = 0; i < got.transfers.size(); ++i) {
+    const Transfer& a = got.transfers[i];
+    const Transfer& b = ref.transfers[i];
+    ASSERT_TRUE(a.from == b.from && a.to == b.to && a.count == b.count &&
+                a.step == b.step)
+        << what << " transfer " << i << ": got " << a.from << "->" << a.to
+        << " x" << a.count << " @" << a.step << ", want " << b.from << "->"
+        << b.to << " x" << b.count << " @" << b.step;
+  }
+}
+
+TEST(MwaStep5Wavefront, MatchesFullScanReference) {
+  const std::pair<i32, i32> shapes[] = {{1, 1}, {1, 9},  {1, 64}, {9, 1},
+                                        {2, 2}, {8, 4},  {4, 8},  {16, 16},
+                                        {256, 256}};
+  Rng rng(424242);
+  for (const auto& [rows, cols] : shapes) {
+    const topo::Mesh mesh{rows, cols};
+    Mwa mwa(mesh);
+    const i32 n = rows * cols;
+    const int trials = n >= 4096 ? 2 : 40;
+    for (int trial = 0; trial < trials; ++trial) {
+      for (int kind = 0; kind < 3; ++kind) {
+        std::vector<i64> load(static_cast<size_t>(n), 0);
+        if (kind == 0) {  // random dense
+          load = random_load(n, 1 + static_cast<i64>(rng.next_below(20)), rng);
+        } else if (kind == 1) {  // sparse: few loaded nodes, most empty
+          const i32 hot = 1 + static_cast<i32>(rng.next_below(
+                                  static_cast<u64>(std::max(1, n / 8))));
+          for (i32 h = 0; h < hot; ++h) {
+            load[rng.next_below(static_cast<u64>(n))] +=
+                static_cast<i64>(rng.next_below(200));
+          }
+        } else {  // a single hot node
+          load[rng.next_below(static_cast<u64>(n))] =
+              static_cast<i64>(rng.next_below(static_cast<u64>(4 * n))) + 1;
+        }
+        const ScheduleResult& got = mwa.schedule(load);
+        const ScheduleResult ref = reference_schedule(mesh, load, got);
+        expect_same_schedule(got, ref,
+                             std::to_string(rows) + "x" + std::to_string(cols) +
+                                 " kind " + std::to_string(kind) + " trial " +
+                                 std::to_string(trial));
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 

@@ -54,6 +54,19 @@ bool reply_is_error(const std::string& reply, i32 code) {
          c->is_number() && c->as_i64() == code;
 }
 
+/// A server counter out of a stats reply (-1 when the reply does not
+/// parse or lacks the counter).
+i64 stats_counter(const std::string& reply, const std::string& name) {
+  const auto doc = obs::json::parse(reply);
+  if (!doc.has_value()) return -1;
+  const obs::json::Value* server = doc->find("server");
+  const obs::json::Value* counters =
+      server != nullptr ? server->find("counters") : nullptr;
+  const obs::json::Value* c =
+      counters != nullptr ? counters->find(name) : nullptr;
+  return c != nullptr && c->is_number() ? c->as_i64() : -1;
+}
+
 // --- protocol ------------------------------------------------------------
 
 TEST(ServeProtocol, MalformedJsonYieldsError400NotCrash) {
@@ -340,9 +353,7 @@ TEST(JobServer, AdmissionRejectsAreDeterministicAndCounted) {
     EXPECT_EQ(out.retry_after_ms, 50);
   }
   const std::string stats = server.handle_line("{\"op\":\"stats\"}");
-  EXPECT_NE(stats.find("\"server.rejected_queue_full\": 3"),
-            std::string::npos)
-      << stats;
+  EXPECT_EQ(stats_counter(stats, "server.rejected_queue_full"), 3) << stats;
   server.drain();
   EXPECT_EQ(server.jobs_done(), 0u);
 }
@@ -361,9 +372,7 @@ TEST(JobServer, WorstCaseSubmitIsRejected400AndServerStaysUp) {
       "\"spawn\":1.0}");
   EXPECT_TRUE(reply_is_error(reply, 400));
   const std::string stats = server.handle_line("{\"op\":\"stats\"}");
-  EXPECT_NE(stats.find("\"server.rejected_too_large\": 1"),
-            std::string::npos)
-      << stats;
+  EXPECT_EQ(stats_counter(stats, "server.rejected_too_large"), 1) << stats;
   EXPECT_NE(server.handle_line("{\"op\":\"submit\"}").find("\"job\":0"),
             std::string::npos);
   server.drain();
@@ -375,16 +384,14 @@ TEST(JobServer, TenantSlotFreesWhenItsJobCompletes) {
   options.nodes = 16;
   options.admission.tenant_cap = 1;
   serve::JobServer server(options);
-  server.start();
 
-  // ~70k tasks expected: milliseconds of engine work, so the job is still
-  // queued/running when the cap probe lands. The probe itself must be tiny
-  // — submit() builds the trace before taking the lock, so a large probe
-  // would hand the first job that build time to finish in.
-  serve::SubmitParams big;
-  big.tenant = "t";
-  big.roots = 20000;
-  ASSERT_TRUE(server.submit(big).ok);
+  // Submitted before the engine starts, the first job is certainly still
+  // queued when the cap probe lands: the probe's 429 does not depend on
+  // how fast the engine runs.
+  serve::SubmitParams first;
+  first.tenant = "t";
+  first.roots = 50;
+  ASSERT_TRUE(server.submit(first).ok);
   serve::SubmitParams probe;
   probe.tenant = "t";
   probe.roots = 1;
@@ -399,6 +406,7 @@ TEST(JobServer, TenantSlotFreesWhenItsJobCompletes) {
   other.roots = 1;
   other.depth = 0;
   ASSERT_TRUE(server.submit(other).ok);
+  server.start();
 
   // Once both jobs complete, t's slot frees again (the per-tenant active
   // count decrements on completion, not just at drain).
@@ -416,6 +424,21 @@ TEST(JobServer, TenantSlotFreesWhenItsJobCompletes) {
   EXPECT_TRUE(server.submit(again).ok);
   server.drain();
   EXPECT_EQ(server.jobs_done(), 3u);
+}
+
+TEST(JobServer, JobsAdmittedBeforeStartRunAtDrain) {
+  serve::ServeOptions options;
+  options.nodes = 16;
+  serve::JobServer server(options);
+  serve::SubmitParams params;
+  params.tenant = "t";
+  params.roots = 4;
+  ASSERT_TRUE(server.submit(params).ok);
+  ASSERT_TRUE(server.submit(params).ok);
+  server.drain();  // never started: the drain starts the engine
+  EXPECT_TRUE(server.finished());
+  EXPECT_EQ(server.jobs_done(), 2u);
+  EXPECT_TRUE(server.monitors_ok());
 }
 
 TEST(JobServer, IdleWaitBeforeSubmissionIsNotChargedAsLatency) {
@@ -497,14 +520,21 @@ class Client {
   }
   bool connected() const { return connected_; }
 
-  std::string roundtrip(const std::string& request) {
-    const std::string line = request + "\n";
-    EXPECT_EQ(::write(fd_, line.data(), line.size()),
-              static_cast<ssize_t>(line.size()));
+  void send(const std::string& bytes) {
+    EXPECT_EQ(::write(fd_, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  std::string read_line() {
     std::string reply;
     char c;
     while (::read(fd_, &c, 1) == 1 && c != '\n') reply.push_back(c);
     return reply;
+  }
+
+  std::string roundtrip(const std::string& request) {
+    send(request + "\n");
+    return read_line();
   }
 
  private:
@@ -555,6 +585,45 @@ TEST(SocketServer, EndToEndSessionOverTheWire) {
   loop.join();
   EXPECT_TRUE(server.monitors_ok());
   EXPECT_EQ(server.jobs_done(), 2u);
+}
+
+// Every reply is exactly one line, the stats reply with its embedded
+// server registry included: three pipelined requests on one connection
+// read back as three complete JSON objects, in order.
+TEST(SocketServer, StatsReplyKeepsOneObjectPerLine) {
+  const std::string path =
+      testing::TempDir() + "rips-serve-stats-" +
+      std::to_string(::getpid()) + ".sock";
+  serve::ServeOptions options;
+  options.nodes = 16;
+  serve::JobServer server(options);
+  serve::SocketServer socket(server, path);
+  server.start();
+  std::thread loop([&socket] { socket.serve_forever(); });
+
+  std::vector<std::string> lines;
+  {
+    Client client(path);
+    ASSERT_TRUE(client.connected());
+    client.send(
+        "{\"op\":\"drain\"}\n{\"op\":\"stats\"}\n{\"op\":\"shutdown\"}\n");
+    // The shutdown reply ends the session, so the reads cannot block even
+    // when the replies are misframed.
+    for (int i = 0; i < 3; ++i) lines.push_back(client.read_line());
+  }
+  loop.join();
+
+  const char* const ops[] = {"drain", "stats", "shutdown"};
+  for (size_t i = 0; i < 3; ++i) {
+    std::string error;
+    const auto doc = obs::json::parse(lines[i], &error);
+    ASSERT_TRUE(doc.has_value()) << ops[i] << ": " << error << " in "
+                                 << lines[i];
+    const obs::json::Value* op = doc->find("op");
+    ASSERT_NE(op, nullptr) << lines[i];
+    EXPECT_EQ(op->string, ops[i]) << lines[i];
+  }
+  EXPECT_GE(stats_counter(lines[1], "server.submitted"), 0) << lines[1];
 }
 
 }  // namespace
